@@ -11,6 +11,7 @@ import (
 	"mrdspark/internal/experiments"
 	"mrdspark/internal/obs"
 	"mrdspark/internal/obs/trace"
+	"mrdspark/internal/service"
 	"mrdspark/internal/workload"
 )
 
@@ -82,6 +83,23 @@ func runExec(b *bench, shape execShape) error {
 	fmt.Printf("exec: %s, %d workers x %.0fMB cache, %d rows/partition, seed %d\n",
 		shape.workload, execWorkers, float64(shape.cache)/float64(cluster.MB), shape.rows, b.seed)
 
+	// The oracle: in-process service.Replay over the same graph, policy
+	// and cluster shape. Every leg's per-stage advice must match it.
+	oracle := map[string][]string{}
+	for _, p := range execPolicies {
+		a, err := service.NewAdvisor(spec.Graph, service.AdvisorConfig{Nodes: execWorkers, CacheBytes: shape.cache, Policy: p})
+		if err != nil {
+			return err
+		}
+		advs, err := service.Replay(a)
+		if err != nil {
+			return err
+		}
+		for _, adv := range advs {
+			oracle[p.Name()] = append(oracle[p.Name()], adv.Fingerprint())
+		}
+	}
+
 	var wantDigest uint64
 	haveDigest := false
 	// leg executes one fresh engine; building it is not part of the JCT.
@@ -126,9 +144,14 @@ func runExec(b *bench, shape execShape) error {
 			fmt.Printf("exec: %s leg output digest %#x != %#x\n", p.Name(), res.OutputDigest, wantDigest)
 			return legResult{}, false, nil
 		}
+		if err := sameAdvice(res.History, oracle[p.Name()]); err != nil {
+			b.op(false)
+			fmt.Printf("exec: %s leg %v\n", p.Name(), err)
+			return legResult{}, false, nil
+		}
 		b.op(true)
-		// The per-stage advice log is not used; dropping it keeps memory
-		// from growing with the number of legs a run fits in.
+		// The per-stage advice log has been checked; dropping it keeps
+		// memory from growing with the number of legs a run fits in.
 		res.History = nil
 		return legResult{policy: p.Name(), jct: jct, res: res, rt: rt, probe: probe}, true, nil
 	}
@@ -197,6 +220,20 @@ func runExec(b *bench, shape execShape) error {
 	b.reportExecLayers(plain[mrd], traced[mrd])
 	probeTableRefresh(b, trace.SpanContext{}, []*workload.Spec{spec})
 	return probeCodec(b, spec)
+}
+
+// sameAdvice checks an executed leg's per-stage advice against the
+// oracle's fingerprints.
+func sameAdvice(history []service.Advice, want []string) error {
+	if len(history) != len(want) {
+		return fmt.Errorf("advised %d stages, oracle %d", len(history), len(want))
+	}
+	for i, adv := range history {
+		if got := adv.Fingerprint(); got != want[i] {
+			return fmt.Errorf("advice at stage %d diverged from service.Replay:\n  exec:   %s\n  oracle: %s", adv.Stage, got, want[i])
+		}
+	}
+	return nil
 }
 
 // reportExecCounters prints each policy's cache counters beside its JCT,

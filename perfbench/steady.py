@@ -8,12 +8,12 @@ Run from the repository root:
     python3 perfbench/steady.py --save first.json
     python3 perfbench/steady.py --save second.json --compare first.json
 
-It runs each workload --runs times through perfbench/run.py, each time
-with another seed, at BENCHMARK.json's run_seconds and with tracing off.
+It runs each workload --runs times through perfbench/run.py, with seeds
+1 to --runs, at BENCHMARK.json's run_seconds and with tracing off.
 For every end-to-end metric it prints the median and quartiles of the
 runs (statistics.quantiles, n=4) and the spread: the distance between
 the quartiles as a share of the median. A spread above the metric's
-bound fails (setup_s excepted); one above a third of the bound is
+bound fails; one above a third of the bound is
 flagged. With --compare it also fails any metric whose median is worse
 than the saved set's by more than its bound. Every run must report
 correct=true and no failed operations. The exit code is 0 only if every
@@ -44,12 +44,11 @@ def main():
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--workloads", default=",".join(names))
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--seed0", type=int, default=1, help="first seed; run i uses seed0 + i")
-    p.add_argument("--seconds", type=int, default=bench["run_seconds"])
     p.add_argument("--save", help="write the measured values to this JSON file")
     p.add_argument("--compare", help="JSON file of an earlier --save to compare medians against")
     args = p.parse_args()
 
+    seconds = bench["run_seconds"]
     metrics = {m["name"]: m for m in bench["end_to_end"]}
     earlier = {}
     if args.compare:
@@ -59,22 +58,22 @@ def main():
     saved = {}
     for wl in args.workloads.split(","):
         values = {name: [] for name in metrics}
-        for i in range(args.runs):
-            res = run_once(wl, args.seed0 + i, args.seconds)
+        for seed in range(1, args.runs + 1):
+            res = run_once(wl, seed, seconds)
             if not res["correct"] or res["failed"] != 0:
-                print(f"{wl} seed {args.seed0 + i}: correct={res['correct']} failed={res['failed']}")
+                print(f"{wl} seed {seed}: correct={res['correct']} failed={res['failed']}")
                 ok = False
             for name in metrics:
                 values[name].append(res["metrics"][name]["value"])
         saved[wl] = values
-        print(f"{wl}: {args.runs} runs x {args.seconds}s")
+        print(f"{wl}: {args.runs} runs x {seconds}s")
         for name, m in metrics.items():
             xs = values[name]
             q1, _, q3 = statistics.quantiles(xs, n=4)
             med = statistics.median(xs)
             spread = (q3 - q1) / med if med else float("inf")
             status = "ok"
-            if name != "setup_s" and spread > m["bound"]:
+            if spread > m["bound"]:
                 status, ok = "FAIL spread", False
             elif spread > m["bound"] / 3:
                 status = "wide"

@@ -130,7 +130,8 @@ func runSweep(b *bench) error {
 
 	// check counts a pass's grid points as operations: all of them fail
 	// when the pass errs, its row count is wrong, or its report differs
-	// from the cold pass's.
+	// from want (a cold pass: the first cold pass's report; a warm pass:
+	// its own cold pass's).
 	check := func(p sweepPass, err error, want []byte, kind string) bool {
 		n := int64(len(grid))
 		switch {
@@ -139,7 +140,7 @@ func runSweep(b *bench) error {
 		case len(p.res.Rows) != len(grid):
 			fmt.Printf("sweep: %s pass produced %d rows, want %d\n", kind, len(p.res.Rows), len(grid))
 		case want != nil && !bytes.Equal(p.html, want):
-			fmt.Printf("sweep: %s pass report differs from the cold pass's\n", kind)
+			fmt.Printf("sweep: %s pass report differs from the first cold pass's\n", kind)
 		case kind == "warm" && p.res.Stats.Simulated != 0:
 			fmt.Printf("sweep: warm pass simulated %d points\n", p.res.Stats.Simulated)
 		default:
@@ -157,8 +158,13 @@ func runSweep(b *bench) error {
 			if err != nil {
 				return ph, err
 			}
+			// Every cold pass must render the first cold pass's report.
+			var want []byte
+			if len(ph.cold) > 0 {
+				want = ph.cold[0].html
+			}
 			cold, err := runPass(tr, dir, cfg, "cold")
-			if check(cold, err, nil, "cold") {
+			if check(cold, err, want, "cold") {
 				for w := 0; w < warmPerCold; w++ {
 					warm, err := runPass(tr, dir, cfg, "warm")
 					if check(warm, err, cold.html, "warm") {
