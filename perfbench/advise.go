@@ -28,6 +28,11 @@ var adviseWorkloads = []string{"SCC", "PO", "KM", "CC", "HB-TeraSort"}
 // adviseConfig models 4 nodes x 64M under full MRD.
 var adviseConfig = service.AdvisorConfig{Nodes: 4, CacheBytes: 64 * cluster.MB, Policy: experiments.SpecMRD}
 
+// rssSlice is the length of advise-mix's resident-set windows. The two
+// clients never pause together, so the windows are slices of time, not
+// operations, and nothing settles the heap between them.
+const rssSlice = time.Second
+
 // adviseServer is the in-process server, its frame listener on
 // loopback, and one binary-wire client (one connection) per load
 // client.
@@ -130,6 +135,7 @@ func runAdvise(b *bench) error {
 	for _, spec := range specs {
 		steps[spec.Name] = service.Schedule(spec.Graph)
 	}
+	b.rssWindows = "1 s slices"
 	fmt.Printf("advise: %d clients x 1 binary connection, %d nodes x %dMB %s, sessions cycle %s, seed %d\n",
 		clients, adviseConfig.Nodes, adviseConfig.CacheBytes/cluster.MB, adviseConfig.Policy.Name(),
 		strings.Join(adviseWorkloads, ","), b.seed)
@@ -144,6 +150,22 @@ func runAdvise(b *bench) error {
 		var wg sync.WaitGroup
 		rt0 := readRuntime()
 		start := time.Now()
+		b.rss.begin()
+		slicing, sliced := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(sliced)
+			t := time.NewTicker(rssSlice)
+			defer t.Stop()
+			for {
+				select {
+				case <-slicing:
+					return
+				case <-t.C:
+					b.rss.end()
+					b.rss.begin()
+				}
+			}
+		}()
 		for ci, c := range srv.conns {
 			wg.Add(1)
 			go func(ci int, c *client.Client) {
@@ -180,6 +202,9 @@ func runAdvise(b *bench) error {
 			}(ci, c)
 		}
 		wg.Wait()
+		close(slicing)
+		<-sliced
+		b.rss.end()
 		load.allocMB = rt0.to(readRuntime()).allocMB
 		if firstErr != nil {
 			fmt.Printf("advise: first failed session: %v\n", firstErr)

@@ -80,6 +80,7 @@ func runExec(b *bench, shape execShape) error {
 	if err != nil {
 		return err
 	}
+	b.rssWindows = "legs"
 	fmt.Printf("exec: %s, %d workers x %.0fMB cache, %d rows/partition, seed %d\n",
 		shape.workload, execWorkers, float64(shape.cache)/float64(cluster.MB), shape.rows, b.seed)
 
@@ -120,6 +121,7 @@ func runExec(b *bench, shape execShape) error {
 			e.AttachBus(bus)
 		}
 		runtime.GC()
+		b.rss.begin()
 		root := tr.start(trace.SpanContext{}, "bench.leg")
 		sp := tr.start(root.Context(), "exec.run")
 		probe.begin(sp.Context())
@@ -128,6 +130,7 @@ func runExec(b *bench, shape execShape) error {
 		res, err := e.Run()
 		jct := time.Since(t0)
 		rt := rt0.to(readRuntime())
+		b.rss.end()
 		sp.EndWith(p.Name())
 		root.EndWith(p.Name())
 		if err != nil {

@@ -116,11 +116,14 @@ var workloads = map[string]func(*bench) error{
 // bench is one benchmark run: its inputs, its budget, the span recorder
 // of a traced run, and everything measured.
 type bench struct {
-	seed    int64
-	budget  time.Duration
-	traced  bool    // per-layer run: spans on, per-layer metrics out
-	tr      *tracer // span recorder of the traced phase
-	workdir string  // scratch space inside the checkout
+	seed   int64
+	budget time.Duration
+	traced bool    // per-layer run: spans on, per-layer metrics out
+	tr     *tracer // span recorder of the traced phase
+	rss    *rssSampler
+	// rssWindows says what the workload's resident-set windows span.
+	rssWindows string
+	workdir    string // scratch space inside the checkout
 
 	attempted, failed atomic.Int64
 
@@ -220,6 +223,10 @@ func measure(name string, run func(*bench) error, seed int64, budget time.Durati
 	if traced {
 		b.tr = newTracer()
 	}
+	if b.rss, err = startRSS(); err != nil {
+		return result{}, err
+	}
+	defer b.rss.close()
 	fmt.Printf("env: workload=%s seed=%d seconds=%.1f trace=%t nproc=%d GOMAXPROCS=%d go=%s exec_workers=%d clients=%d pool_workers=%d\n",
 		name, seed, budget.Seconds(), traced, runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(),
 		execWorkers, clients, poolWorkers)
@@ -235,7 +242,12 @@ func measure(name string, run func(*bench) error, seed int64, budget time.Durati
 	if err != nil {
 		return result{}, err
 	}
-	b.set("peak_rss_mb", rss, "VmHWM")
+	peaks := b.rss.peaks
+	if len(peaks) == 0 {
+		return result{}, fmt.Errorf("%s: no resident-set window closed", name)
+	}
+	b.set("peak_rss_mb", median(peaks), fmt.Sprintf("median window peak, %s %s; VmHWM %.1f",
+		nSamples(len(peaks)), b.rssWindows, rss))
 	if traced {
 		if err := b.tr.export(out, fmt.Sprintf("%s-seed%d", name, seed)); err != nil {
 			return result{}, err

@@ -116,3 +116,92 @@ func hostSteal() float64 {
 	v, _ := strconv.ParseFloat(f[8], 64)
 	return v / 100
 }
+
+// rssInterval is how often the resident-set sampler reads the kernel's
+// figure while a window is open.
+const rssInterval = 2 * time.Millisecond
+
+// rssSampler keeps the peak resident set of each window a workload opens
+// around one of its operations, read every rssInterval by a goroutine
+// that runs only while the window is open. peak_rss_mb is the median of
+// those peaks: on a heap of a few tens of MB the process's single
+// high-water mark (VmHWM) moves by a fifth with the timing of one GC
+// cycle, a median over operations does not. begin and end are called in
+// turn, never concurrently.
+type rssSampler struct {
+	f     *os.File
+	page  float64 // MB per page
+	peak  float64 // MB, of the open window; written by its goroutine
+	peaks []float64
+	stop  chan struct{}
+	done  chan struct{}
+}
+
+func startRSS() (*rssSampler, error) {
+	f, err := os.Open("/proc/self/statm")
+	if err != nil {
+		return nil, fmt.Errorf("resident set: %w", err)
+	}
+	s := &rssSampler{f: f, page: float64(os.Getpagesize()) / (1 << 20)}
+	if _, err := s.read(); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+// read returns the current resident set in MB (the second field of
+// /proc/self/statm, in pages).
+func (s *rssSampler) read() (float64, error) {
+	var buf [128]byte
+	n, err := s.f.ReadAt(buf[:], 0)
+	if n == 0 && err != nil {
+		return 0, fmt.Errorf("resident set: %w", err)
+	}
+	f := strings.Fields(string(buf[:n]))
+	if len(f) < 2 {
+		return 0, fmt.Errorf("resident set: short /proc/self/statm")
+	}
+	pages, err := strconv.ParseFloat(f[1], 64)
+	if err != nil {
+		return 0, fmt.Errorf("resident set: %w", err)
+	}
+	return pages * s.page, nil
+}
+
+// sample folds the current resident set into the open window's peak.
+func (s *rssSampler) sample() {
+	if mb, err := s.read(); err == nil && mb > s.peak {
+		s.peak = mb
+	}
+}
+
+// begin opens a window.
+func (s *rssSampler) begin() {
+	s.peak = 0
+	s.stop, s.done = make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(s.done)
+		t := time.NewTicker(rssInterval)
+		defer t.Stop()
+		for {
+			s.sample()
+			select {
+			case <-s.stop:
+				return
+			case <-t.C:
+			}
+		}
+	}()
+}
+
+// end closes the open window, after one last sample, and records its
+// peak.
+func (s *rssSampler) end() {
+	close(s.stop)
+	<-s.done
+	s.sample()
+	s.peaks = append(s.peaks, s.peak)
+}
+
+func (s *rssSampler) close() { s.f.Close() }

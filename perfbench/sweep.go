@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
+	"runtime/debug"
 	"time"
 
 	"mrdspark/internal/cluster"
@@ -44,11 +44,16 @@ type sweepPass struct {
 
 // runPass runs one pass against the store in dir with an empty memo, so
 // every point is served by the store or simulated. It collects the
-// previous pass's garbage first, so each pass starts from the same heap.
-func runPass(tr *tracer, dir string, cfg experiments.SweepConfig, kind string) (sweepPass, error) {
+// previous pass's garbage and returns it to the kernel first, so each
+// pass starts from the same heap; a cold pass is a resident-set window.
+func runPass(tr *tracer, rss *rssSampler, dir string, cfg experiments.SweepConfig, kind string) (sweepPass, error) {
 	var p sweepPass
 	experiments.ResetRunCache()
-	runtime.GC()
+	debug.FreeOSMemory()
+	if kind == "cold" {
+		rss.begin()
+		defer rss.end()
+	}
 	root := tr.start(trace.SpanContext{}, "bench.pass")
 	defer root.EndWith(kind)
 	t0 := time.Now()
@@ -125,6 +130,7 @@ func runSweep(b *bench) error {
 	if err != nil {
 		return err
 	}
+	b.rssWindows = "cold passes"
 	fmt.Printf("sweep: %d points, %d pool workers, %d warm passes per cold pass, seed %d\n",
 		len(grid), poolWorkers, warmPerCold, b.seed)
 
@@ -163,10 +169,10 @@ func runSweep(b *bench) error {
 			if len(ph.cold) > 0 {
 				want = ph.cold[0].html
 			}
-			cold, err := runPass(tr, dir, cfg, "cold")
+			cold, err := runPass(tr, b.rss, dir, cfg, "cold")
 			if check(cold, err, want, "cold") {
 				for w := 0; w < warmPerCold; w++ {
-					warm, err := runPass(tr, dir, cfg, "warm")
+					warm, err := runPass(tr, b.rss, dir, cfg, "warm")
 					if check(warm, err, cold.html, "warm") {
 						warm.res, warm.html = nil, nil
 						ph.warm = append(ph.warm, warm)
