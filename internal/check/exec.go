@@ -59,11 +59,14 @@ func runExecLeg(w *Workload, p experiments.PolicySpec, dataSeed int64, kill *exe
 //     engine is deterministic despite its concurrency.
 //   - The executed advice fingerprints are byte-identical to the online
 //     advisor's over the same graph, policy and cluster shape — for
-//     EVERY policy, because the engine's boundary decision phase is the
-//     advisor's procedure run against live stores.
+//     EVERY policy. The engine's boundary decisions are made by an
+//     Advisor it holds, so this leg pins exec's driver around it: the
+//     schedule, kill settlement and the current stage's creates.
 //   - For class A policies the executed per-stage decision digests also
-//     match the batch simulator's: sim-predicted and executed cache
-//     decisions are the same decisions.
+//     match the batch simulator's. The simulator's cluster model is a
+//     different algorithm, so this leg is the independent decision
+//     oracle: sim-predicted and executed cache decisions are the same
+//     decisions.
 //   - The executed event stream survives JSONL exactly, rebuilds the
 //     same Prometheus exposition on replay, and passes the invariant
 //     auditor in exact mode; the prefetch ledger conserves, and the

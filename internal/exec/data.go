@@ -4,11 +4,12 @@
 // memory stores driven by the configured cache policy, spill-to-disk
 // under pressure, shuffle write/read between stages, and lineage
 // recompute on worker loss — standing where the simulator only models
-// one. The cache-decision phase at every stage boundary mirrors the
-// online Advisor's semantics exactly (DESIGN.md §9), so an executed
-// run's decision stream is directly comparable, byte for byte, with
-// the simulator's and the advisor's: the sim is the oracle for the
-// engine, and the engine is the measured ground truth for the sim.
+// one. The cache-decision phase at every stage boundary is the online
+// Advisor's own Advance (DESIGN.md §9, §15), run by the engine's
+// advisor, so an executed run's decision stream is directly comparable,
+// byte for byte, with the simulator's and the advisor's: the sim is
+// the oracle for the engine, and the engine is the measured ground
+// truth for the sim.
 package exec
 
 import (

@@ -9,7 +9,6 @@ import (
 	"mrdspark/internal/dag"
 	"mrdspark/internal/experiments"
 	"mrdspark/internal/obs"
-	"mrdspark/internal/policy"
 	"mrdspark/internal/service"
 	"mrdspark/internal/workload"
 )
@@ -104,39 +103,28 @@ type shuffleInfo struct {
 }
 
 // Engine executes one workload: a master (the caller of Run) that
-// walks the DAG's stage graph, makes cache decisions on the live
-// stores at every stage boundary, and schedules tasks onto worker
+// walks the DAG's stage graph, makes cache decisions through its
+// advisor at every stage boundary, and schedules tasks onto worker
 // goroutines that move real bytes. Not safe for concurrent use; Run
 // may be called once.
 type Engine struct {
-	spec    *workload.Spec
-	graph   *dag.Graph
-	cfg     Config
-	factory policy.Factory
-	nodes   []*node
+	spec  *workload.Spec
+	graph *dag.Graph
+	cfg   Config
+	// adv is the accounting plane: the cluster's cache state and the
+	// policy deciding over it, mutated only at stage boundaries.
+	adv   *service.Advisor
+	nodes []*node
 
-	stageObs policy.StageObserver
-	jobObs   policy.JobObserver
-	failObs  policy.NodeFailureObserver
-
-	stages   map[int]*dag.Stage
 	shuffles map[int]*shuffleInfo
 
-	// created marks cached RDDs materialized at some past boundary;
-	// curCreates marks the ones the current stage materializes. Both
-	// are written only between task waves.
-	created    map[int]bool
+	// curCreates marks the cached RDDs the current stage materializes;
+	// it is written only between task waves.
 	curCreates map[int]bool
 
 	seed int64
 	rows int
 	skew float64
-
-	cur     *service.Advice
-	history []service.Advice
-	nextJob int
-
-	pfIssued, pfUsed, pfWaste int64
 
 	bus   *obs.Bus
 	start time.Time
@@ -179,10 +167,9 @@ func (c *counters) add(f func(*counters)) {
 	c.mu.Unlock()
 }
 
-// New builds an engine over the workload. The policy factory is
-// instantiated against the graph exactly as the simulator and the
-// advisor instantiate it, and cluster-aware policies are attached to
-// the engine's live stores.
+// New builds an engine over the workload: an advisor over the graph
+// and cluster shape, whose evictions and prefetches the engine's
+// byte plane follows.
 func New(spec *workload.Spec, cfg Config) (*Engine, error) {
 	if spec == nil || spec.Graph == nil {
 		return nil, fmt.Errorf("exec: nil workload")
@@ -199,27 +186,28 @@ func New(spec *workload.Spec, cfg Config) (*Engine, error) {
 	if cfg.Workers < 1 || cfg.CacheBytes < 0 {
 		return nil, fmt.Errorf("exec: bad cluster shape (workers=%d, cacheBytes=%d)", cfg.Workers, cfg.CacheBytes)
 	}
-	factory, err := buildFactory(cfg.Policy, spec.Graph)
+	adv, err := service.NewAdvisor(spec.Graph, service.AdvisorConfig{
+		Nodes: cfg.Workers, CacheBytes: cfg.CacheBytes, Policy: cfg.Policy,
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("exec: %w", err)
 	}
 	e := &Engine{
 		spec:     spec,
 		graph:    spec.Graph,
 		cfg:      cfg,
-		factory:  factory,
-		stages:   map[int]*dag.Stage{},
+		adv:      adv,
 		shuffles: map[int]*shuffleInfo{},
-		created:  map[int]bool{},
 		seed:     dataSeed(spec.Params.Seed),
 		rows:     spec.Params.DataRows,
 		skew:     spec.Params.DataSkew,
 		bus:      obs.New(),
 	}
-	for _, s := range e.graph.ExecutedStages() {
-		e.stages[s.ID] = s
-		if s.Kind == dag.ShuffleMap {
-			e.shuffles[s.ShuffleID] = &shuffleInfo{id: s.ShuffleID, mapStage: s, mapParts: s.NumTasks}
+	for _, j := range e.graph.Jobs {
+		for _, s := range j.NewStages {
+			if s.Kind == dag.ShuffleMap {
+				e.shuffles[s.ShuffleID] = &shuffleInfo{id: s.ShuffleID, mapStage: s, mapParts: s.NumTasks}
+			}
 		}
 	}
 	for _, r := range e.graph.RDDs {
@@ -231,37 +219,19 @@ func New(spec *workload.Spec, cfg Config) (*Engine, error) {
 			}
 		}
 	}
-	e.stageObs, _ = factory.(policy.StageObserver)
-	e.jobObs, _ = factory.(policy.JobObserver)
-	e.failObs, _ = factory.(policy.NodeFailureObserver)
-	if ca, ok := factory.(policy.ClusterAware); ok {
-		ca.Attach(execOps{e})
-	}
 	for i := 0; i < cfg.Workers; i++ {
-		e.nodes = append(e.nodes, newNode(i, cfg.CacheBytes, factory.NewNodePolicy(i)))
+		e.nodes = append(e.nodes, newNode(i))
 	}
+	adv.SetBytePlane(bytePlane{e})
 	if k := cfg.Kill; k != nil {
 		if k.Worker < 0 || k.Worker >= cfg.Workers {
 			return nil, fmt.Errorf("exec: kill worker %d out of range [0,%d)", k.Worker, cfg.Workers)
 		}
-		if _, ok := e.stages[k.Stage]; !ok {
+		if adv.Stage(k.Stage) == nil {
 			return nil, fmt.Errorf("exec: kill stage %d is not an executed stage", k.Stage)
 		}
 	}
 	return e, nil
-}
-
-// buildFactory instantiates the policy spec against the DAG, mapping
-// the panic-on-unknown contract of experiments.PolicySpec.Factory into
-// an error — the same wrapping the advisory tier applies, so both
-// construct policies identically.
-func buildFactory(spec experiments.PolicySpec, g *dag.Graph) (f policy.Factory, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("exec: %v", r)
-		}
-	}()
-	return spec.Factory(&workload.Spec{Graph: g}), nil
 }
 
 // AttachBus connects the run (and a bus-aware policy) to an
@@ -269,23 +239,18 @@ func buildFactory(spec experiments.PolicySpec, g *dag.Graph) (f policy.Factory, 
 // the engine stamps them with the elapsed wall-clock microseconds.
 func (e *Engine) AttachBus(b *obs.Bus) {
 	e.bus = b
-	if at, ok := e.factory.(obs.Attacher); ok {
-		at.AttachBus(b)
-	}
+	e.adv.AttachBus(b)
 }
 
 // PolicyName returns the instantiated policy's display name.
-func (e *Engine) PolicyName() string { return e.factory.Name() }
+func (e *Engine) PolicyName() string { return e.adv.PolicyName() }
 
 // History returns the per-stage decision log (valid after Run).
-func (e *Engine) History() []service.Advice { return e.history }
+func (e *Engine) History() []service.Advice { return e.adv.History() }
 
 // PrefetchLedger returns the run's prefetch conservation counters.
 func (e *Engine) PrefetchLedger() (issued, used, wasted, pending int64) {
-	for _, n := range e.nodes {
-		pending += int64(len(n.prefetched))
-	}
-	return e.pfIssued, e.pfUsed, e.pfWaste, pending
+	return e.adv.PrefetchLedger()
 }
 
 // Run executes the whole application — every job, stage by stage — and
@@ -317,34 +282,27 @@ func (e *Engine) Run() (Result, error) {
 
 	for _, st := range service.Schedule(e.graph) {
 		if st.Stage < 0 {
-			if err := e.submitJob(st.Job); err != nil {
+			if err := e.adv.SubmitJob(st.Job); err != nil {
 				return Result{}, err
 			}
 			continue
 		}
-		if err := e.runStage(e.stages[st.Stage]); err != nil {
+		if err := e.runStage(e.adv.Stage(st.Stage)); err != nil {
 			return Result{}, err
 		}
 	}
 
 	res := Result{
 		Workload:   e.spec.Name,
-		Policy:     e.factory.Name(),
+		Policy:     e.adv.PolicyName(),
 		Workers:    len(e.nodes),
 		JCT:        time.Since(e.start),
-		History:    e.history,
+		History:    e.adv.History(),
 		JobDigests: e.jobDigests,
 	}
 	res.OutputDigest = combineDigests(e.jobDigests)
-	for _, a := range e.history {
-		res.Counters.Hits += a.Counters.Hits
-		res.Counters.Misses += a.Counters.Misses
-		res.Counters.Promotes += a.Counters.Promotes
-		res.Counters.Recomputes += a.Counters.Recomputes
-		res.Counters.Inserts += a.Counters.Inserts
-		res.Counters.Evictions += a.Counters.Evictions
-		res.Counters.Purged += a.Counters.Purged
-		res.Counters.Prefetches += a.Counters.Prefetches
+	for _, a := range res.History {
+		res.Counters.Add(a.Counters)
 	}
 	res.TasksRun = e.ctr.tasksRun
 	res.TaskRetries = e.ctr.taskRetries
@@ -357,20 +315,6 @@ func (e *Engine) Run() (Result, error) {
 	return res, nil
 }
 
-// submitJob feeds the next job's DAG to the policy, mirroring the
-// advisor's SubmitJob (jobs arrive in ID order by construction of the
-// canonical schedule).
-func (e *Engine) submitJob(jobID int) error {
-	if jobID != e.nextJob {
-		return fmt.Errorf("exec: job %d out of order (next is %d)", jobID, e.nextJob)
-	}
-	if e.jobObs != nil {
-		e.jobObs.OnJobSubmit(e.graph.Jobs[jobID])
-	}
-	e.nextJob++
-	return nil
-}
-
 // runStage executes one stage: the boundary decision phase on the
 // master, then the task wave across the workers, then output
 // collection.
@@ -381,7 +325,9 @@ func (e *Engine) runStage(s *dag.Stage) error {
 	e.bus.SetStage(s.ID, s.FirstJob.ID)
 	e.bus.Emit(obs.Ev(obs.KindStageStart, obs.ClusterScope).
 		WithValue(int64(s.NumTasks)).WithVerdict(s.Kind.String()))
-	e.advance(s)
+	if err := e.advance(s); err != nil {
+		return err
+	}
 	stageStart := time.Now()
 
 	if k := e.cfg.Kill; k != nil && k.Mid && k.Stage == s.ID && !e.midFired {

@@ -241,3 +241,48 @@ func TestEngineRunsAllWorkloads(t *testing.T) {
 		}
 	}
 }
+
+// TestBytesFollowAccounting holds the byte plane to the accounting
+// after a run: every block whose bytes a worker holds in memory is
+// resident in the advisor's memory accounting on that worker, and
+// every block it holds on disk is on the advisor's disk. Clean runs
+// pin the spills and drops the advisor's BytePlane hook performs; the
+// mid-stage kill legs pin the settlement, which must drop the bytes
+// tasks stored on the victim against its stale accounting.
+func TestBytesFollowAccounting(t *testing.T) {
+	params := workload.Params{DataRows: 32}
+	for _, pol := range []experiments.PolicySpec{experiments.SpecMRD, experiments.SpecLRU} {
+		for _, mid := range []bool{false, true} {
+			spec := mustBuild(t, "SCC", params)
+			cfg := Config{Workers: 3, CacheBytes: 64 * cluster.MB, Policy: pol}
+			if mid {
+				stages := spec.Graph.ExecutedStages()
+				cfg.Kill = &KillSpec{Worker: 1, Stage: stages[len(stages)/2].ID, Mid: true}
+			}
+			e, err := New(spec, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			stray := 0
+			for _, n := range e.nodes {
+				for id := range n.memBytes {
+					if !e.adv.Resident(n.id, id) {
+						stray++
+					}
+				}
+				for id := range n.diskBytes {
+					if !e.adv.OnDisk(n.id, id) {
+						stray++
+					}
+				}
+			}
+			if stray != 0 {
+				t.Errorf("%s mid-kill=%v: %d blocks hold bytes the accounting does not place there",
+					pol.Name(), mid, stray)
+			}
+		}
+	}
+}

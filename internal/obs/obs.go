@@ -177,7 +177,7 @@ type wireEvent struct {
 }
 
 // MarshalJSON renders the event in the JSON-lines wire format. Field
-// names are a superset of the legacy sim.TraceEvent format: at, node,
+// names are a superset of the original trace format: at, node,
 // kind, block, stage, job exactly as before (stage and job now always
 // present and correct), plus bytes, value and verdict when set.
 func (e Event) MarshalJSON() ([]byte, error) {

@@ -9,7 +9,7 @@ import (
 )
 
 // TestEventWireGolden pins the exact JSONL wire format. These strings
-// are a compatibility contract: the legacy sim.TraceEvent consumer
+// are a compatibility contract: the original trace format's consumer
 // fields (at, node, kind, block, stage, job) must keep their names and
 // the extension fields must stay omitempty. Changing any of them
 // breaks recorded traces and external tooling.

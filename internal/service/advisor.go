@@ -91,6 +91,18 @@ type Counters struct {
 	Prefetches int `json:"prefetches"`
 }
 
+// Add folds another advance's counters into c.
+func (c *Counters) Add(o Counters) {
+	c.Hits += o.Hits
+	c.Misses += o.Misses
+	c.Promotes += o.Promotes
+	c.Recomputes += o.Recomputes
+	c.Inserts += o.Inserts
+	c.Evictions += o.Evictions
+	c.Purged += o.Purged
+	c.Prefetches += o.Prefetches
+}
+
 // Advice is the full response to one stage-boundary advance: the
 // decisions in issue order plus the resulting model counters.
 type Advice struct {
@@ -131,6 +143,22 @@ type advNode struct {
 	// prefetched tracks blocks loaded by prefetch and not yet hit, for
 	// the manager's reportCacheStatus feedback loop.
 	prefetched map[block.ID]bool
+}
+
+// BytePlane is the data-plane hook of a live executor running its
+// stage-boundary decisions through an Advisor (internal/exec): the
+// advisor moves only accounting, and calls the hook after each change
+// that must also move a block's bytes. A pure advisory session has no
+// byte plane.
+type BytePlane interface {
+	// Evicted reports that the block left the node's memory accounting
+	// (a demand eviction, a prefetch-forced eviction or a purge). A
+	// MEMORY_AND_DISK block is already on the accounting disk; any
+	// other level is lost.
+	Evicted(node int, info block.Info)
+	// Prefetched reports that a prefetch order loaded the on-disk
+	// block into the node's memory accounting.
+	Prefetched(node int, id block.ID)
 }
 
 // Advisor is one application's advisory session. It is not safe for
@@ -177,7 +205,8 @@ type Advisor struct {
 	pfUsed   int64
 	pfWaste  int64
 
-	bus *obs.Bus // nil-safe; shared with the server's aggregator
+	bus   *obs.Bus  // nil-safe; shared with the server's aggregator
+	bytes BytePlane // nil for a pure advisory session
 }
 
 // NewAdvisor builds a session over the application DAG. The config's
@@ -243,6 +272,10 @@ func (a *Advisor) AttachBus(b *obs.Bus) {
 	}
 }
 
+// SetBytePlane installs the executor hook that moves real bytes after
+// the advisor's accounting decisions.
+func (a *Advisor) SetBytePlane(p BytePlane) { a.bytes = p }
+
 // Config returns the normalized session configuration.
 func (a *Advisor) Config() AdvisorConfig { return a.cfg }
 
@@ -281,6 +314,9 @@ func (a *Advisor) PolicyName() string { return a.factory.Name() }
 
 // Graph returns the session's application DAG.
 func (a *Advisor) Graph() *dag.Graph { return a.graph }
+
+// Stage returns the executed stage with the given ID, or nil.
+func (a *Advisor) Stage(id int) *dag.Stage { return a.stages[id] }
 
 // NextJob returns the next job index SubmitJob expects.
 func (a *Advisor) NextJob() int { return a.nextJob }
@@ -380,7 +416,7 @@ func (a *Advisor) Advance(stageID int) (Advice, error) {
 // a same-stage read the simulator counts as a hit — which is exactly
 // the divergence the differential harness pinned down.
 func (a *Advisor) applyStage(s *dag.Stage) {
-	reads, creates := dag.StageFrontier(s, func(id int) bool { return a.created[id] })
+	reads, creates := dag.StageFrontier(s, a.Created)
 	var missed []block.Info
 	for _, r := range reads {
 		for p := 0; p < r.NumPartitions; p++ {
@@ -455,6 +491,9 @@ func (a *Advisor) settleEviction(node int, v block.Info, kind string) {
 	if v.Level == block.MemoryAndDisk {
 		n.disk.Put(v.ID, v.Size)
 	}
+	if a.bytes != nil {
+		a.bytes.Evicted(node, v)
+	}
 	if n.prefetched[v.ID] {
 		a.pfWaste++
 		delete(n.prefetched, v.ID)
@@ -472,6 +511,18 @@ func (a *Advisor) record(d Decision) { a.cur.Decisions = append(a.cur.Decisions,
 // the same cluster layout.
 func (a *Advisor) home(id block.ID) int { return cluster.HomeNode(id, len(a.nodes)) }
 
+// Resident reports whether the node's memory accounting holds the
+// block. Like OnDisk and Created it is read-only, so an executor's
+// tasks may call it concurrently between advances.
+func (a *Advisor) Resident(node int, id block.ID) bool { return a.nodes[node].mem.Contains(id) }
+
+// OnDisk reports whether the node's disk accounting holds the block.
+func (a *Advisor) OnDisk(node int, id block.ID) bool { return a.nodes[node].disk.Has(id) }
+
+// Created reports whether the cached RDD has been materialized by an
+// advanced stage, the current one included.
+func (a *Advisor) Created(rdd int) bool { return a.created[rdd] }
+
 // ResidentBlocks returns the node's resident block IDs in deterministic
 // order (test and debug helper).
 func (a *Advisor) ResidentBlocks(node int) []block.ID {
@@ -487,16 +538,12 @@ type advOps struct{ a *Advisor }
 
 var _ policy.ClusterOps = advOps{}
 
-func (o advOps) NumNodes() int             { return len(o.a.nodes) }
-func (o advOps) HomeNode(id block.ID) int  { return o.a.home(id) }
-func (o advOps) FreeBytes(node int) int64  { return o.a.nodes[node].mem.Free() }
-func (o advOps) CapacityBytes(n int) int64 { return o.a.nodes[n].mem.Capacity() }
-func (o advOps) Resident(node int, id block.ID) bool {
-	return o.a.nodes[node].mem.Contains(id)
-}
-func (o advOps) OnDisk(node int, id block.ID) bool {
-	return o.a.nodes[node].disk.Has(id)
-}
+func (o advOps) NumNodes() int                       { return len(o.a.nodes) }
+func (o advOps) HomeNode(id block.ID) int            { return o.a.home(id) }
+func (o advOps) FreeBytes(node int) int64            { return o.a.nodes[node].mem.Free() }
+func (o advOps) CapacityBytes(n int) int64           { return o.a.nodes[n].mem.Capacity() }
+func (o advOps) Resident(node int, id block.ID) bool { return o.a.Resident(node, id) }
+func (o advOps) OnDisk(node int, id block.ID) bool   { return o.a.OnDisk(node, id) }
 
 // Evict implements the manager's all-out purge order.
 func (o advOps) Evict(node int, id block.ID) bool {
@@ -511,6 +558,9 @@ func (o advOps) Evict(node int, id block.ID) bool {
 	}
 	if info.Level == block.MemoryAndDisk {
 		n.disk.Put(id, info.Size)
+	}
+	if a.bytes != nil {
+		a.bytes.Evicted(node, info)
 	}
 	if n.prefetched[id] {
 		a.pfWaste++
@@ -550,6 +600,9 @@ func (o advOps) Prefetch(node int, info block.Info) {
 			a.record(Decision{Kind: "prefetch-drop", Node: node, Block: info.ID.String()})
 		}
 		return
+	}
+	if a.bytes != nil {
+		a.bytes.Prefetched(node, info.ID)
 	}
 	n.prefetched[info.ID] = true
 	a.pfIssued++

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -202,5 +203,24 @@ func TestNodeFailureClearsState(t *testing.T) {
 	}
 	if err := run(steps[half:]); err != nil {
 		t.Fatalf("replay after node failure: %v", err)
+	}
+}
+
+// TestCountersAddCoversEveryField guards Counters.Add against a new
+// counter field it forgets to sum.
+func TestCountersAddCoversEveryField(t *testing.T) {
+	var o Counters
+	ov := reflect.ValueOf(&o).Elem()
+	for i := 0; i < ov.NumField(); i++ {
+		ov.Field(i).SetInt(int64(i + 1))
+	}
+	var sum Counters
+	sum.Add(o)
+	sum.Add(o)
+	sv := reflect.ValueOf(sum)
+	for i := 0; i < sv.NumField(); i++ {
+		if got, want := sv.Field(i).Int(), int64(2*(i+1)); got != want {
+			t.Errorf("Counters.Add: %s = %d, want %d", sv.Type().Field(i).Name, got, want)
+		}
 	}
 }

@@ -17,9 +17,8 @@ type Options struct {
 	// Fault is the fault-injection and recovery schedule: node crashes
 	// (with optional rejoin), stragglers, block loss/corruption, flaky
 	// remote fetches with bounded retry, and the replication factor
-	// for cached and shuffle blocks. nil injects nothing. It replaces
-	// the old single FailNode/FailAtStage pair (see fault.Crash for
-	// the equivalent one-event schedule).
+	// for cached and shuffle blocks. nil injects nothing; fault.Crash
+	// builds the one-crash schedule.
 	Fault *fault.Schedule
 }
 
@@ -79,9 +78,9 @@ type Simulation struct {
 
 	// bus is the run's observability event bus (internal/obs). It exists
 	// on every simulation but stays disabled — and free — until
-	// something subscribes (EnableTrace, Observe, or a direct Bus call).
+	// something subscribes (Observe, or a Recorder or other subscriber
+	// attached to Bus).
 	bus *obs.Bus
-	rec *obs.Recorder
 	agg *obs.Aggregator
 }
 

@@ -13,6 +13,16 @@ import (
 	"mrdspark/internal/policy"
 )
 
+// record attaches a recorder to the simulation's event bus (before
+// Run) — the way every trace consumer collects a run's events.
+func record(s *Simulation) *obs.Recorder {
+	rec := obs.NewRecorder()
+	rec.Attach(s.Bus())
+	return rec
+}
+
+// TestTraceDisabledByDefault: without a subscriber the bus stays
+// disabled for the whole run, so nothing is stamped or delivered.
 func TestTraceDisabledByDefault(t *testing.T) {
 	g, _ := cachedReuseGraph(block.MemoryAndDisk)
 	s, err := New(g, tinyCluster(1<<20), policy.NewLRU(), "t")
@@ -20,8 +30,8 @@ func TestTraceDisabledByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run()
-	if len(s.Trace()) != 0 {
-		t.Errorf("trace collected without EnableTrace: %d events", len(s.Trace()))
+	if s.Bus().Enabled() {
+		t.Error("event bus enabled without a subscriber")
 	}
 }
 
@@ -32,34 +42,34 @@ func TestTraceRecordsCacheLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.EnableTrace()
+	rec := record(s)
 	run := s.Run()
 
-	kinds := map[string]int{}
+	kinds := map[obs.Kind]int{}
 	var prev int64
-	for _, ev := range s.Trace() {
+	for _, ev := range rec.Events() {
 		kinds[ev.Kind]++
 		if ev.At < prev {
 			t.Fatalf("trace out of order at %+v", ev)
 		}
 		prev = ev.At
 	}
-	if kinds["stage-start"] != run.StagesExecuted {
-		t.Errorf("stage-start events = %d, want %d", kinds["stage-start"], run.StagesExecuted)
+	if kinds[obs.KindStageStart] != run.StagesExecuted {
+		t.Errorf("stage-start events = %d, want %d", kinds[obs.KindStageStart], run.StagesExecuted)
 	}
-	if int64(kinds["hit"]) != run.Hits {
-		t.Errorf("hit events = %d, want %d", kinds["hit"], run.Hits)
+	if int64(kinds[obs.KindHit]) != run.Hits {
+		t.Errorf("hit events = %d, want %d", kinds[obs.KindHit], run.Hits)
 	}
-	if int64(kinds["promote"]) != run.DiskPromotes {
-		t.Errorf("promote events = %d, want %d", kinds["promote"], run.DiskPromotes)
+	if int64(kinds[obs.KindPromote]) != run.DiskPromotes {
+		t.Errorf("promote events = %d, want %d", kinds[obs.KindPromote], run.DiskPromotes)
 	}
-	if int64(kinds["purge"]) != run.PurgedBlocks {
-		t.Errorf("purge events = %d, want %d", kinds["purge"], run.PurgedBlocks)
+	if int64(kinds[obs.KindPurge]) != run.PurgedBlocks {
+		t.Errorf("purge events = %d, want %d", kinds[obs.KindPurge], run.PurgedBlocks)
 	}
-	if int64(kinds["prefetch-issue"]) != run.PrefetchIssued {
-		t.Errorf("prefetch-issue events = %d, want %d", kinds["prefetch-issue"], run.PrefetchIssued)
+	if int64(kinds[obs.KindPrefetchIssue]) != run.PrefetchIssued {
+		t.Errorf("prefetch-issue events = %d, want %d", kinds[obs.KindPrefetchIssue], run.PrefetchIssued)
 	}
-	if kinds["insert"] == 0 {
+	if kinds[obs.KindInsert] == 0 {
 		t.Error("no insert events")
 	}
 }
@@ -70,20 +80,28 @@ func TestWriteTraceJSONLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.EnableTrace()
+	rec := record(s)
 	s.Run()
 	var buf bytes.Buffer
-	if err := s.WriteTrace(&buf); err != nil {
+	if err := rec.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(s.Trace()) {
-		t.Fatalf("wrote %d lines for %d events", len(lines), len(s.Trace()))
+	if len(lines) != rec.Len() {
+		t.Fatalf("wrote %d lines for %d events", len(lines), rec.Len())
 	}
 	for _, ln := range lines {
-		var ev TraceEvent
+		// Every line carries the original trace format's fields.
+		var ev struct {
+			At   *int64  `json:"at"`
+			Node *int    `json:"node"`
+			Kind *string `json:"kind"`
+		}
 		if err := json.Unmarshal([]byte(ln), &ev); err != nil {
 			t.Fatalf("bad JSON line %q: %v", ln, err)
+		}
+		if ev.At == nil || ev.Node == nil || ev.Kind == nil {
+			t.Fatalf("line %q lacks at/node/kind", ln)
 		}
 	}
 }
@@ -94,13 +112,13 @@ func TestTraceFailureEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.EnableTrace()
+	rec := record(s)
 	if err := s.SetOptions(Options{Fault: fault.Crash(1, 2)}); err != nil {
 		t.Fatal(err)
 	}
 	s.Run()
-	for _, ev := range s.Trace() {
-		if ev.Kind == "node-fail" && ev.Node == 1 {
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.KindNodeFail && ev.Node == 1 {
 			return
 		}
 	}
@@ -117,13 +135,13 @@ func TestTraceStageJobContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.EnableTrace()
+	rec := record(s)
 	s.Run()
 
 	stage, job := -1, -1
 	blockEvents := 0
-	for _, ev := range s.Trace() {
-		if ev.Kind == "stage-start" {
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.KindStageStart {
 			stage, job = ev.Stage, ev.Job
 		}
 		if stage < 0 {
@@ -133,7 +151,7 @@ func TestTraceStageJobContext(t *testing.T) {
 			t.Fatalf("%s at t=%d carries stage %d/job %d, executing stage is %d/job %d",
 				ev.Kind, ev.At, ev.Stage, ev.Job, stage, job)
 		}
-		if ev.Block != "" {
+		if ev.HasBlock {
 			blockEvents++
 		}
 	}
@@ -152,10 +170,10 @@ func TestTraceDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.EnableTrace()
+		rec := record(s)
 		s.Run()
 		var buf bytes.Buffer
-		if err := s.WriteTrace(&buf); err != nil {
+		if err := rec.WriteJSONL(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -178,12 +196,12 @@ func TestReplayMatchesLiveAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.EnableTrace()
+	rec := record(s)
 	live := s.Observe()
 	s.Run()
 
 	var buf bytes.Buffer
-	if err := s.WriteTrace(&buf); err != nil {
+	if err := rec.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	events, err := obs.ReadJSONL(&buf)

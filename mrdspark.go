@@ -135,26 +135,8 @@ type Config struct {
 	AdHoc bool
 	// Fault is a full fault-injection schedule (crashes, stragglers,
 	// lost/corrupt blocks, flaky fetches, replication). Build one
-	// directly or via FaultPreset. Takes precedence over FailNode.
+	// directly or via FaultPreset.
 	Fault *FaultSchedule
-	// FailNode injects a single worker failure before executed stage
-	// FailAtStage when >= 1 (node index FailNode-1), exercising the
-	// §4.4 fault-tolerance path. Shorthand for a one-crash Fault
-	// schedule; kept for backward compatibility.
-	FailNode    int
-	FailAtStage int
-}
-
-// faultSchedule resolves the Config's fault configuration: an explicit
-// schedule wins, then the legacy single-crash shorthand, else none.
-func (cfg Config) faultSchedule() *FaultSchedule {
-	if cfg.Fault != nil {
-		return cfg.Fault
-	}
-	if cfg.FailNode >= 1 {
-		return fault.Crash(cfg.FailNode-1, cfg.FailAtStage)
-	}
-	return nil
 }
 
 // Policies returns the available policy names.
@@ -260,8 +242,8 @@ func newGraphSim(g *Graph, name string, cfg Config) (*sim.Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if f := cfg.faultSchedule(); f != nil {
-		if err := s.SetOptions(sim.Options{Fault: f}); err != nil {
+	if cfg.Fault != nil {
+		if err := s.SetOptions(sim.Options{Fault: cfg.Fault}); err != nil {
 			return nil, err
 		}
 	}
@@ -303,12 +285,14 @@ func RunTraced(cfg Config, trace io.Writer) (Result, []StageSpan, error) {
 	if err != nil {
 		return Result{}, nil, err
 	}
+	var rec *obs.Recorder
 	if trace != nil {
-		s.EnableTrace()
+		rec = obs.NewRecorder()
+		rec.Attach(s.Bus())
 	}
 	run := s.Run()
-	if trace != nil {
-		if err := s.WriteTrace(trace); err != nil {
+	if rec != nil {
+		if err := rec.WriteJSONL(trace); err != nil {
 			return run, s.Timeline(), err
 		}
 	}
@@ -326,7 +310,7 @@ type RunReport = obs.Report
 type Observed struct {
 	Run      Result
 	Timeline []StageSpan
-	sim      *sim.Simulation
+	rec      *obs.Recorder
 	agg      *obs.Aggregator
 }
 
@@ -338,10 +322,11 @@ func RunObserved(cfg Config) (*Observed, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.EnableTrace()
+	rec := obs.NewRecorder()
+	rec.Attach(s.Bus())
 	agg := s.Observe()
 	run := s.Run()
-	return &Observed{Run: run, Timeline: s.Timeline(), sim: s, agg: agg}, nil
+	return &Observed{Run: run, Timeline: s.Timeline(), rec: rec, agg: agg}, nil
 }
 
 // Report snapshots the run into a renderable report.
@@ -351,7 +336,7 @@ func (o *Observed) Report() *RunReport { return o.agg.Report(o.Run) }
 func (o *Observed) WriteHTML(w io.Writer) error { return o.Report().WriteHTML(w) }
 
 // WriteTrace writes the run's full JSONL event trace.
-func (o *Observed) WriteTrace(w io.Writer) error { return o.sim.WriteTrace(w) }
+func (o *Observed) WriteTrace(w io.Writer) error { return o.rec.WriteJSONL(w) }
 
 // WritePrometheus writes the aggregates in the Prometheus text
 // exposition format.
